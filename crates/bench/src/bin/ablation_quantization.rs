@@ -5,7 +5,7 @@
 
 use nshd_bench::{print_header, print_row, Bench};
 use nshd_core::{NshdConfig, NshdModel};
-use nshd_hdc::{BinaryMemory, QuantizedMemory};
+use nshd_hdc::{PackedMemory, QuantizedMemory};
 use nshd_nn::Architecture;
 
 fn main() {
@@ -23,7 +23,7 @@ fn main() {
     let f32_acc = model.memory().accuracy(&samples);
     let f32_bytes = (model.memory().param_count() * 4) as u64;
     let quant = QuantizedMemory::from_memory(model.memory());
-    let binary = BinaryMemory::from_memory(model.memory());
+    let binary = PackedMemory::from_memory(model.memory());
 
     let widths = [10usize, 10, 12, 10];
     print_header(&["memory", "accuracy", "bytes", "Δacc"], &widths);

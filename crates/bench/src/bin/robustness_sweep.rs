@@ -19,7 +19,7 @@
 use nshd_bench::{Bench, Scale};
 use nshd_core::{NshdConfig, NshdModel};
 use nshd_data::{normalize_pair, Corruption, ImageDataset, SynthSpec};
-use nshd_hdc::{BinaryMemory, FaultPlan, QuantizedMemory};
+use nshd_hdc::{FaultPlan, PackedMemory, QuantizedMemory};
 use nshd_nn::{
     evaluate, fit, ActKind, Activation, Adam, Architecture, Conv2d, Flatten, Linear, MaxPool2d,
     Model, Sequential, TrainConfig,
@@ -140,9 +140,9 @@ fn main() {
     let samples = model.symbolize_dataset(&test);
     let clean_memory = model.memory().clone();
     let clean_quant = QuantizedMemory::from_memory(&clean_memory);
-    let clean_binary = BinaryMemory::from_memory(&clean_memory);
+    let clean_binary = PackedMemory::from_memory(&clean_memory);
     let packed: Vec<_> = samples.iter().map(|(hv, l)| (hv.to_packed(), *l)).collect();
-    let binary_accuracy = |mem: &BinaryMemory| {
+    let binary_accuracy = |mem: &PackedMemory| {
         let correct = packed.iter().filter(|(hv, l)| mem.predict(hv) == *l).count();
         correct as f32 / packed.len() as f32
     };

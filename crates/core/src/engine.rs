@@ -1,15 +1,17 @@
 //! The thread-shareable batched inference engine behind the serving
 //! runtime (`nshd-runtime`).
 //!
-//! [`NshdEngine`] snapshots a trained [`NshdModel`] into an immutable,
-//! `Send + Sync` form optimised for batch throughput:
+//! [`NshdEngine`] is one symbolization [`Head`] in front of one
+//! deployed class memory ([`HdDeployEngine`]), snapshotted from a
+//! trained [`NshdModel`] into an immutable, `Send + Sync` form
+//! optimised for batch throughput:
 //!
 //! - images are stacked into one NCHW tensor and pushed through the
 //!   truncated teacher **once per batch** (`&self` inference path);
 //! - HD encoding runs as a single dense GEMM via
 //!   [`nshd_hdc::BatchEncoder`] instead of `N` bit-serial passes;
-//! - associative-memory scoring is one `matmul_bt` against the class
-//!   matrix instead of `N·k` scalar cosine loops.
+//! - associative-memory scoring is one batch GEMM through the
+//!   deployment's compiled backend instead of `N·k` scalar cosine loops.
 //!
 //! The two halves are exposed separately ([`extract_values`] /
 //! [`finish_values`]) so the runtime can data-parallelise the
@@ -25,33 +27,27 @@
 //! guaranteed at the argmax/prediction level, not the raw score level.
 //!
 //! **Quantised scoring.** The engine can serve the paper's §VI-B
-//! deployments directly: [`NshdEngine::with_scoring`] compiles the class
-//! memory into a [`nshd_hdc::ScoringBackend`] (INT8 or bit-packed), and
-//! [`finish_values`] then scores through that backend's batch GEMM — the
-//! packed mode encodes straight to packed hypervectors
-//! ([`try_encode_values_packed`]) so nothing densifies on the way to the
-//! popcount scorer. Dense remains the default and the accuracy
-//! reference.
+//! deployments directly: [`NshdEngine::with_scoring`] recompiles the
+//! deployed memory for INT8 or bit-packed scoring, and the packed mode
+//! encodes straight to packed hypervectors ([`Head::encode_packed`]) so
+//! nothing densifies on the way to the popcount scorer. Dense remains
+//! the default and the accuracy reference.
 //!
 //! [`extract_values`]: NshdEngine::extract_values
 //! [`finish_values`]: NshdEngine::finish_values
-//! [`try_encode_values_packed`]: NshdEngine::try_encode_values_packed
 
-use crate::manifold::ManifoldLearner;
+use crate::head::Head;
 use crate::model::NshdModel;
 use crate::robust::PipelineError;
-use crate::scaler::FeatureScaler;
+use crate::serve::HdDeployEngine;
 use crate::verify::{self, AnalysisReport};
 use nshd_data::ImageDataset;
-use nshd_hdc::{
-    AssociativeMemory, BatchEncoder, BipolarHv, FaultReport, FaultScenario, PackedHv,
-    ScoringBackend, ScoringMode,
-};
-use nshd_nn::Model;
-use nshd_tensor::{Tensor, TensorError};
+use nshd_hdc::{AssociativeMemory, BipolarHv, FaultReport, FaultScenario, QueryHv, ScoringMode};
+use nshd_tensor::Tensor;
 
 /// An immutable, `Send + Sync` snapshot of a trained NSHD pipeline,
-/// ready for concurrent batched inference.
+/// ready for concurrent batched inference: one [`Head`] feeding one
+/// [`HdDeployEngine`].
 ///
 /// # Examples
 ///
@@ -63,13 +59,8 @@ use nshd_tensor::{Tensor, TensorError};
 /// ```
 #[derive(Clone)]
 pub struct NshdEngine {
-    teacher: Model,
-    cut: usize,
-    scaler: FeatureScaler,
-    manifold: Option<ManifoldLearner>,
-    encoder: BatchEncoder,
-    memory: AssociativeMemory,
-    scoring: ScoringBackend,
+    head: Head,
+    deploy: HdDeployEngine,
 }
 
 // The engine must stay shareable across worker threads; fail the build
@@ -94,13 +85,8 @@ impl NshdEngine {
     pub fn new(model: &NshdModel) -> Result<Self, AnalysisReport> {
         verify::verify_model(model)?;
         Ok(NshdEngine {
-            teacher: model.teacher().clone(),
-            cut: model.config().cut,
-            scaler: model.scaler().clone(),
-            manifold: model.manifold().cloned(),
-            encoder: model.projection().batch_encoder(),
-            memory: model.memory().clone(),
-            scoring: ScoringBackend::Dense,
+            head: Head::from_model(model),
+            deploy: HdDeployEngine::new(model.memory().clone(), ScoringMode::Dense),
         })
     }
 
@@ -127,108 +113,59 @@ impl NshdEngine {
     /// Returns the [`AnalysisReport`] naming the first inconsistent
     /// stage.
     pub fn verify(&self) -> Result<(), AnalysisReport> {
-        let feat_shape = verify::verify_extractor(&self.teacher, self.cut)?;
-        verify::verify_stages(
-            &feat_shape,
-            self.scaler.len(),
-            self.manifold.as_ref(),
-            self.encoder.features(),
-            self.encoder.dim(),
-            &self.memory,
-            self.teacher.num_classes,
-        )
+        self.head.verify()?;
+        self.head.verify_memory(self.deploy.memory())
     }
 
     /// Snapshot-clones the engine with `scenario`'s faults injected into
-    /// its class memory — the degraded-replica input for chaos testing
-    /// the replicated serving tier. The original engine is untouched
-    /// (replicas never share mutable state), the teacher weights and
-    /// projection basis are shared copies, and only the associative
-    /// memory is corrupted; an empty scenario yields a replica that
-    /// predicts bit-identically to `self`.
+    /// its class memory (the deployment recompiles its backend from the
+    /// corrupted copy) — the degraded-replica input for chaos testing the replicated serving
+    /// tier. The original engine is untouched and the head is a shared
+    /// copy; an empty scenario yields a replica that predicts
+    /// bit-identically to `self`.
     pub fn degraded(&self, scenario: &FaultScenario) -> (NshdEngine, FaultReport) {
-        let mut replica = self.clone();
-        let report = scenario.apply_associative(&mut replica.memory);
-        // Quantised backends are compiled *from* the dense memory, so a
-        // degraded replica must recompile its backend or it would keep
-        // scoring against the uncorrupted deployment.
-        replica.scoring = ScoringBackend::build(&replica.memory, replica.scoring.mode());
-        (replica, report)
+        let (deploy, report) = self.deploy.degraded(scenario);
+        (NshdEngine { head: self.head.clone(), deploy }, report)
     }
 
     /// Number of classes the engine predicts over.
     pub fn num_classes(&self) -> usize {
-        self.memory.num_classes()
+        self.deploy.num_classes()
     }
 
     /// The snapshotted associative memory.
     pub fn memory(&self) -> &AssociativeMemory {
-        &self.memory
+        self.deploy.memory()
     }
 
-    /// Recompiles the scoring stage for `mode` (paper §VI-B): `Dense`
-    /// keeps f32 cosine scoring, `Int8`/`Packed` compile the class
-    /// memory into the corresponding quantised deployment and route
-    /// [`finish_values`](NshdEngine::finish_values) through its batch
-    /// GEMM. The dense memory is always retained (it is the
-    /// recompilation source for [`NshdEngine::degraded`] replicas).
+    /// Recompiles the deployed memory for `mode` (paper §VI-B): `Dense`
+    /// keeps f32 cosine scoring, `Int8`/`Packed` route
+    /// [`finish_values`](NshdEngine::finish_values) through the
+    /// corresponding quantised batch GEMM.
     #[must_use]
-    pub fn with_scoring(mut self, mode: ScoringMode) -> Self {
-        self.scoring = ScoringBackend::build(&self.memory, mode);
-        self
+    pub fn with_scoring(self, mode: ScoringMode) -> Self {
+        NshdEngine { head: self.head, deploy: self.deploy.with_scoring(mode) }
     }
 
     /// The scoring mode the engine currently serves with.
     pub fn scoring_mode(&self) -> ScoringMode {
-        self.scoring.mode()
+        self.deploy.scoring_mode()
     }
 
-    /// Stage 1 — CNN feature extraction: stacks the CHW images into one
-    /// NCHW batch, runs the truncated teacher once, then standardises
-    /// and (optionally) manifold-compresses each sample. This is the
-    /// compute-heavy half the runtime splits across workers.
+    /// Stage 1 — CNN feature extraction ([`Head::extract`]): one
+    /// truncated-teacher pass over the stacked batch, then per-sample
+    /// standardisation and (optionally) manifold compression. This is
+    /// the compute-heavy half the runtime splits across workers.
     ///
     /// # Errors
     ///
     /// Returns [`PipelineError::Tensor`] when an image's shape differs
     /// from the teacher's input shape, and
-    /// [`PipelineError::NonFiniteActivation`] when the extracted values
-    /// contain NaN/∞ (which would poison the argmax downstream).
+    /// [`PipelineError::NonFiniteActivation`] when the images or the
+    /// extracted values contain NaN/∞.
     #[must_use = "extraction can fail on malformed inputs"]
     pub fn try_extract_values(&self, images: &[Tensor]) -> Result<Vec<Vec<f32>>, PipelineError> {
-        if images.is_empty() {
-            return Ok(Vec::new());
-        }
-        let _sp = nshd_obs::span("extract");
-        for image in images {
-            if image.dims() != self.teacher.input_shape {
-                return Err(TensorError::IncompatibleShapes {
-                    lhs: self.teacher.input_shape.clone(),
-                    rhs: image.dims().to_vec(),
-                }
-                .into());
-            }
-            // ReLU washes NaN inputs to zero, so poisoned images must be
-            // caught here rather than at the output check below.
-            if image.as_slice().iter().any(|v| !v.is_finite()) {
-                return Err(PipelineError::NonFiniteActivation { stage: "engine input" });
-            }
-        }
-        let batch = Tensor::stack(images)?;
-        let feats = self.teacher.infer_features_at(&batch, self.cut);
-        let values: Vec<Vec<f32>> = (0..images.len())
-            .map(|b| {
-                let feat = self.scaler.transform(&feats.batch_item(b));
-                match &self.manifold {
-                    Some(m) => m.forward(&feat).1,
-                    None => feat.as_slice().to_vec(),
-                }
-            })
-            .collect();
-        if values.iter().flatten().any(|v| !v.is_finite()) {
-            return Err(PipelineError::NonFiniteActivation { stage: "engine feature extraction" });
-        }
-        Ok(values)
+        self.head.extract(images)
     }
 
     /// Panicking wrapper around
@@ -246,8 +183,8 @@ impl NshdEngine {
     }
 
     /// Encodes extracted feature values into bipolar hypervectors with
-    /// one dense GEMM. Bit-identical to encoding each row through
-    /// [`NshdModel::symbolize`]'s per-sample path.
+    /// one dense GEMM ([`Head::encode`]). Bit-identical to encoding each
+    /// row through [`NshdModel::symbolize`]'s per-sample path.
     ///
     /// # Errors
     ///
@@ -255,56 +192,7 @@ impl NshdEngine {
     /// don't match the projection's feature width.
     #[must_use = "encoding can fail on malformed value rows"]
     pub fn try_encode_values(&self, values: &[Vec<f32>]) -> Result<Vec<BipolarHv>, PipelineError> {
-        match self.values_matrix(values)? {
-            None => Ok(Vec::new()),
-            Some(matrix) => {
-                let _sp = nshd_obs::span("encode");
-                Ok(self.encoder.encode_batch(&matrix))
-            }
-        }
-    }
-
-    /// Encodes extracted feature values straight to bit-packed
-    /// hypervectors — the form the `Packed` scoring backend consumes —
-    /// without materialising dense [`BipolarHv`]s. Row `i` equals
-    /// `try_encode_values(values)?[i].to_packed()` exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::Tensor`] when rows differ in length or
-    /// don't match the projection's feature width.
-    #[must_use = "encoding can fail on malformed value rows"]
-    pub fn try_encode_values_packed(
-        &self,
-        values: &[Vec<f32>],
-    ) -> Result<Vec<PackedHv>, PipelineError> {
-        match self.values_matrix(values)? {
-            None => Ok(Vec::new()),
-            Some(matrix) => {
-                let _sp = nshd_obs::span("encode");
-                Ok(self.encoder.encode_batch_packed(&matrix))
-            }
-        }
-    }
-
-    /// Validates value rows against the projection's feature width and
-    /// stacks them into the `N×F` GEMM operand (`None` for an empty
-    /// batch). Shared by the dense and packed encode paths so both
-    /// reject malformed rows identically.
-    fn values_matrix(&self, values: &[Vec<f32>]) -> Result<Option<Tensor>, PipelineError> {
-        if values.is_empty() {
-            return Ok(None);
-        }
-        for row in values {
-            if row.len() != self.encoder.features() {
-                return Err(TensorError::IncompatibleShapes {
-                    lhs: vec![self.encoder.features()],
-                    rhs: vec![row.len()],
-                }
-                .into());
-            }
-        }
-        Ok(Some(Tensor::from_rows(values)?))
+        self.head.encode(values)
     }
 
     /// Panicking wrapper around
@@ -321,10 +209,10 @@ impl NshdEngine {
     }
 
     /// Stage 2 — HD encode + associative scoring for a whole batch of
-    /// extracted values: one GEMM to encode, one batch-scoring GEMM
-    /// through the active [`ScoringBackend`] (dense `matmul_bt`, INT8
-    /// add/sub accumulation, or packed XNOR+popcount — the packed mode
-    /// never materialises dense hypervectors at all).
+    /// extracted values: one GEMM to encode, then one batch-scoring GEMM
+    /// through the deployed memory ([`HdDeployEngine::try_score`]). The
+    /// packed mode encodes straight to packed hypervectors, so it never
+    /// materialises dense ones at all.
     ///
     /// # Errors
     ///
@@ -332,14 +220,12 @@ impl NshdEngine {
     /// don't match the projection's feature width.
     #[must_use = "scoring can fail on malformed value rows"]
     pub fn try_finish_values(&self, values: &[Vec<f32>]) -> Result<Vec<usize>, PipelineError> {
-        if let ScoringBackend::Packed(packed) = &self.scoring {
-            let hvs = self.try_encode_values_packed(values)?;
-            let _sp = nshd_obs::span("score");
-            return Ok(if hvs.is_empty() { Vec::new() } else { packed.predict_batch(&hvs) });
-        }
-        let hvs = self.try_encode_values(values)?;
-        let _sp = nshd_obs::span("score");
-        Ok(self.scoring.predict_bipolar(&self.memory, &hvs))
+        let queries = if self.deploy.scoring_mode() == ScoringMode::Packed {
+            self.head.encode_packed(values)?.into_iter().map(QueryHv::Packed).collect()
+        } else {
+            self.head.encode(values)?.into_iter().map(QueryHv::Bipolar).collect()
+        };
+        self.deploy.try_score(queries)
     }
 
     /// Panicking wrapper around
@@ -398,11 +284,9 @@ impl NshdEngine {
 impl std::fmt::Debug for NshdEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NshdEngine")
-            .field("teacher", &self.teacher.name)
-            .field("cut", &self.cut)
-            .field("manifold", &self.manifold.is_some())
-            .field("classes", &self.memory.num_classes())
-            .field("scoring", &self.scoring.mode().name())
+            .field("head", &self.head)
+            .field("classes", &self.deploy.num_classes())
+            .field("scoring", &self.deploy.scoring_mode().name())
             .finish()
     }
 }
@@ -577,7 +461,7 @@ mod tests {
 
         // The packed encode path is a pure repacking of the dense one.
         let values = engine.extract_values(&images);
-        let packed_hvs = engine.try_encode_values_packed(&values).unwrap();
+        let packed_hvs = engine.head.encode_packed(&values).unwrap();
         let dense_hvs = engine.encode_values(&values);
         for (p, d) in packed_hvs.iter().zip(&dense_hvs) {
             assert_eq!(*p, d.to_packed());
@@ -590,8 +474,8 @@ mod tests {
         // Quantised modes serve batches bit-exactly as the compiled
         // backend scoring the same encoded hypervectors — the engine
         // adds no hidden densify-then-round step (§VI-B deployments).
-        let quant = nshd_hdc::QuantizedMemory::from_memory(&engine.memory);
-        let packed_mem = nshd_hdc::PackedMemory::from_memory(&engine.memory);
+        let quant = nshd_hdc::QuantizedMemory::from_memory(engine.memory());
+        let packed_mem = nshd_hdc::PackedMemory::from_memory(engine.memory());
         for mode in [ScoringMode::Int8, ScoringMode::Packed] {
             let quantised = engine.clone().with_scoring(mode);
             assert_eq!(quantised.scoring_mode(), mode);

@@ -42,6 +42,7 @@ mod baselines;
 mod config;
 mod cost;
 mod engine;
+mod head;
 mod manifold;
 mod model;
 mod robust;
@@ -59,6 +60,7 @@ pub use cost::{
     nshd_workload_from_stats, MacBreakdown, SizeBreakdown,
 };
 pub use engine::NshdEngine;
+pub use head::Head;
 pub use manifold::ManifoldLearner;
 pub use model::{NshdModel, NshdTrainer, RetrainEpoch};
 pub use robust::{DivergenceGuard, GuardVerdict, PipelineError, RollbackReason};

@@ -1,28 +1,36 @@
-//! Direct HD serving: scoring pre-encoded quantised queries with no CNN
-//! stage.
+//! The deployed class memory: the one place a class memory is held,
+//! compiled, verified and scored.
 //!
-//! [`HdDeployEngine`] is the serving-side counterpart of the paper's
-//! §VI-B deployments for clients that ship *already encoded*
-//! hypervectors over the wire (`nshd-wire/v1` INT8 and packed payload
-//! kinds): a query arrives as an [`HdQuery`], its sign pattern is
-//! extracted **in its native representation** ([`HdQuery::sign_hv`] —
-//! no dequantize-to-f32 step), and the batch is scored by the compiled
-//! [`ScoringBackend`]'s popcount/INT8 GEMM. `nshd-runtime` exposes it
-//! as a [`BatchEngine`] so the whole replicated serving tier (replica
-//! sets, chaos testing, the TCP front end) works over quantised
-//! queries unchanged.
+//! [`HdDeployEngine`] is the paper's §VI-B deployment of the associative
+//! memory: the dense f32 classes plus the [`ScoringBackend`] compiled
+//! from them (dense, INT8 or bit-packed). Every serving engine scores
+//! through it: [`NshdEngine`](crate::NshdEngine) puts one symbolization
+//! [`Head`](crate::Head) in front of it, an `nshd-glue` ensemble puts
+//! several, and served on its own it answers clients that ship *already
+//! encoded* hypervectors over the wire (`nshd-wire/v1` INT8 and packed
+//! payload kinds). Such a query arrives as an [`HdQuery`], its sign
+//! pattern is extracted **in its native representation**
+//! ([`HdQuery::sign_hv`] — no dequantize-to-f32 step), and the batch is
+//! scored by the compiled backend's popcount/INT8 GEMM. `nshd-runtime`
+//! exposes it as a [`BatchEngine`] so the whole replicated serving tier
+//! (replica sets, chaos testing, the TCP front end) works over
+//! quantised queries unchanged.
 //!
 //! [`BatchEngine`]: ../../nshd_runtime/trait.BatchEngine.html
 
 use crate::robust::PipelineError;
-use nshd_hdc::{AssociativeMemory, HdQuery, QueryHv, ScoringBackend, ScoringMode};
+use crate::verify::{self, AnalysisReport};
+use nshd_hdc::{
+    AssociativeMemory, FaultReport, FaultScenario, HdQuery, QueryHv, ScoringBackend, ScoringMode,
+};
 use nshd_tensor::TensorError;
 
-/// A deployed class memory serving pre-encoded [`HdQuery`] batches.
+/// A deployed class memory, scoring sign queries in batches.
 ///
 /// Holds the dense f32 memory (the recompilation source and the
 /// `Dense`-mode scorer) plus the [`ScoringBackend`] compiled for the
-/// selected [`ScoringMode`].
+/// selected [`ScoringMode`]. The backend is only ever built here, from
+/// the memory it sits next to, so the two cannot drift apart.
 #[derive(Debug, Clone)]
 pub struct HdDeployEngine {
     memory: AssociativeMemory,
@@ -41,6 +49,35 @@ impl HdDeployEngine {
     pub fn new(memory: AssociativeMemory, mode: ScoringMode) -> Self {
         let scoring = ScoringBackend::build(&memory, mode);
         HdDeployEngine { memory, scoring }
+    }
+
+    /// Recompiles the same memory for `mode`.
+    #[must_use]
+    pub(crate) fn with_scoring(self, mode: ScoringMode) -> Self {
+        HdDeployEngine::new(self.memory, mode)
+    }
+
+    /// Snapshot-clones the deployment with `scenario`'s faults injected
+    /// into its dense memory and the backend recompiled from the
+    /// corrupted classes — the degraded-replica input for chaos testing.
+    /// `self` is untouched, and an empty scenario yields a deployment
+    /// that predicts bit-identically to it.
+    pub(crate) fn degraded(&self, scenario: &FaultScenario) -> (HdDeployEngine, FaultReport) {
+        let mut memory = self.memory.clone();
+        let report = scenario.apply_associative(&mut memory);
+        (HdDeployEngine::new(memory, self.scoring.mode()), report)
+    }
+
+    /// The memory health check every serving engine runs before any
+    /// worker thread starts: classes present, a positive width, and
+    /// finite values.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`Stage::Memory`](crate::Stage::Memory) report naming
+    /// the violated invariant.
+    pub fn verify(&self) -> Result<(), AnalysisReport> {
+        verify::verify_memory(&self.memory)
     }
 
     /// The scoring mode this deployment serves with.
@@ -88,7 +125,9 @@ impl HdDeployEngine {
             .collect()
     }
 
-    /// Stage 2 — one batch scoring GEMM over the sign queries.
+    /// Stage 2 — one batch scoring GEMM over the sign queries, each
+    /// taken in the backend's native form (a pure repacking — signs are
+    /// never re-derived). Every serving engine scores here.
     ///
     /// # Errors
     ///
@@ -103,7 +142,7 @@ impl HdDeployEngine {
             return Ok(Vec::new());
         }
         let _sp = nshd_obs::span("score");
-        Ok(self.scoring.predict_queries(&self.memory, &queries))
+        Ok(self.scoring.predict_queries(&self.memory, queries))
     }
 
     /// Batch predictions for wire-shaped queries: sign extraction then

@@ -182,9 +182,9 @@ pub fn verify_teacher(teacher: &Model, config: &NshdConfig) -> Result<Vec<usize>
     verify_extractor(teacher, config.cut)
 }
 
-/// Checks every hand-off downstream of the extractor: scaler width,
-/// manifold input shape, projection columns, HD dimension versus memory
-/// width, class count, and memory health.
+/// Checks every hand-off downstream of the extractor: the head's
+/// widths ([`verify_head`]) then the memory it feeds
+/// ([`verify_memory_fit`]).
 pub(crate) fn verify_stages(
     feat_shape: &[usize],
     scaler_len: usize,
@@ -193,6 +193,18 @@ pub(crate) fn verify_stages(
     encode_dim: usize,
     memory: &AssociativeMemory,
     num_classes: usize,
+) -> Result<(), AnalysisReport> {
+    verify_head(feat_shape, scaler_len, manifold, encode_features)?;
+    verify_memory_fit(memory, encode_dim, num_classes)
+}
+
+/// Checks a symbolization head's hand-offs downstream of the extractor:
+/// scaler width, manifold input shape, and projection columns.
+pub(crate) fn verify_head(
+    feat_shape: &[usize],
+    scaler_len: usize,
+    manifold: Option<&ManifoldLearner>,
+    encode_features: usize,
 ) -> Result<(), AnalysisReport> {
     let flat: usize = feat_shape.iter().product();
     if scaler_len != flat {
@@ -225,6 +237,17 @@ pub(crate) fn verify_stages(
         )
         .dims(&[encode_width], &[encode_features]));
     }
+    Ok(())
+}
+
+/// Checks a class memory fed by one head: its width equals the head's
+/// HD dimension, it is healthy ([`verify_memory`]), and it holds the
+/// teacher's class count.
+pub(crate) fn verify_memory_fit(
+    memory: &AssociativeMemory,
+    encode_dim: usize,
+    num_classes: usize,
+) -> Result<(), AnalysisReport> {
     if memory.dim() != encode_dim {
         return Err(AnalysisReport::new(
             Stage::Memory,
@@ -235,9 +258,7 @@ pub(crate) fn verify_stages(
         )
         .dims(&[encode_dim], &[memory.dim()]));
     }
-    if memory.num_classes() == 0 {
-        return Err(AnalysisReport::new(Stage::Memory, "memory holds no classes"));
-    }
+    verify_memory(memory)?;
     if memory.num_classes() != num_classes {
         return Err(AnalysisReport::new(
             Stage::Memory,
@@ -247,6 +268,18 @@ pub(crate) fn verify_stages(
             ),
         )
         .dims(&[num_classes], &[memory.num_classes()]));
+    }
+    Ok(())
+}
+
+/// The one health check every deployed class memory passes before it
+/// serves: classes present, a positive width, and finite values.
+pub(crate) fn verify_memory(memory: &AssociativeMemory) -> Result<(), AnalysisReport> {
+    if memory.num_classes() == 0 {
+        return Err(AnalysisReport::new(Stage::Memory, "memory holds no classes"));
+    }
+    if memory.dim() == 0 {
+        return Err(AnalysisReport::new(Stage::Memory, "memory has zero width"));
     }
     if !memory.is_finite() {
         return Err(AnalysisReport::new(Stage::Memory, "class memory contains non-finite values"));
@@ -365,13 +398,7 @@ pub fn verify_ensemble(
             "every head has zero weight; the fused bundle would be empty",
         ));
     }
-    if memory.num_classes() == 0 {
-        return Err(AnalysisReport::new(Stage::Memory, "memory holds no classes"));
-    }
-    if !memory.is_finite() {
-        return Err(AnalysisReport::new(Stage::Memory, "class memory contains non-finite values"));
-    }
-    Ok(())
+    verify_memory(memory)
 }
 
 /// Checks a quantised deployment against the full-precision memory it

@@ -10,59 +10,58 @@
 //! new one — never a mixture.
 
 use crate::ensemble::{fuse_encode, GlueEnsemble};
-use crate::head::GlueHead;
-use nshd_core::{verify_ensemble, PipelineError};
-use nshd_hdc::{AssociativeMemory, BipolarHv, MemorySnapshot, ScoringBackend, ScoringMode};
+use nshd_core::{verify_ensemble, HdDeployEngine, Head, PipelineError};
+use nshd_hdc::{AssociativeMemory, BipolarHv, QueryHv, ScoringMode};
 use nshd_runtime::BatchEngine;
 use nshd_tensor::Tensor;
 use std::sync::{Arc, RwLock};
 
 /// One immutable generation of a serving ensemble: the teacher heads
-/// and the consensus memory one batch is answered against.
+/// and the deployed consensus memory one batch is answered against.
 ///
 /// States are published [`Arc`]-swap style by [`GlueEngine`]; nothing
 /// in a state mutates after publication, so any number of in-flight
-/// batches can share one state concurrently and bit-exactly.
+/// batches can share one state concurrently and bit-exactly. Heads and
+/// the deployment are `Arc`s, so a swap that replaces one of them
+/// shares the other with the state it replaces.
 #[derive(Clone)]
 pub struct GlueState {
-    heads: Vec<Arc<GlueHead>>,
-    memory: MemorySnapshot,
-    scoring: ScoringBackend,
+    heads: Vec<Arc<Head>>,
+    deploy: Arc<HdDeployEngine>,
 }
 
 impl std::fmt::Debug for GlueState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GlueState")
             .field("heads", &self.heads.len())
-            .field("classes", &self.memory.num_classes())
-            .field("dim", &self.memory.dim())
-            .field("scoring", &self.scoring.mode().name())
+            .field("classes", &self.deploy.num_classes())
+            .field("dim", &self.deploy.dim())
+            .field("scoring", &self.deploy.scoring_mode().name())
             .finish()
     }
 }
 
 impl GlueState {
-    /// Builds a state, compiling the [`ScoringBackend`] for `mode` from
-    /// `memory`. Every publish site goes through here so the backend
-    /// can never drift from the memory it was compiled from.
-    fn assemble(heads: Vec<Arc<GlueHead>>, memory: MemorySnapshot, mode: ScoringMode) -> Self {
-        let scoring = ScoringBackend::build(&memory, mode);
-        GlueState { heads, memory, scoring }
+    /// This state with `memory` deployed in its place, under the same
+    /// heads and scoring mode.
+    fn with_memory(&self, memory: AssociativeMemory) -> GlueState {
+        let deploy = HdDeployEngine::new(memory, self.scoring_mode());
+        GlueState { heads: self.heads.clone(), deploy: Arc::new(deploy) }
     }
 
     /// The teacher heads, in fuse order.
-    pub fn heads(&self) -> &[Arc<GlueHead>] {
+    pub fn heads(&self) -> &[Arc<Head>] {
         &self.heads
     }
 
     /// The consensus memory this state scores against.
     pub fn memory(&self) -> &AssociativeMemory {
-        &self.memory
+        self.deploy.memory()
     }
 
     /// Number of classes this state predicts over.
     pub fn num_classes(&self) -> usize {
-        self.memory.num_classes()
+        self.deploy.num_classes()
     }
 
     /// Statically verifies head/memory dimension agreement
@@ -74,7 +73,7 @@ impl GlueState {
     /// invariant.
     pub fn verify(&self) -> Result<(), PipelineError> {
         let dims: Vec<_> = self.heads.iter().map(|h| h.dims()).collect();
-        verify_ensemble(&dims, &self.memory).map_err(PipelineError::from)
+        verify_ensemble(&dims, self.deploy.memory()).map_err(PipelineError::from)
     }
 
     /// Weighted fused encoding of a batch of CHW images against this
@@ -90,22 +89,14 @@ impl GlueState {
 
     /// The scoring mode this state answers batches with.
     pub fn scoring_mode(&self) -> ScoringMode {
-        self.scoring.mode()
+        self.deploy.scoring_mode()
     }
 
-    /// Scores fused hypervectors through this state's compiled backend:
-    /// dense cosine, INT8 GEMM, or packed popcount depending on the
-    /// published [`ScoringMode`]. The packed arm repacks signs to bit
-    /// words (`to_packed`) — signs are never re-derived, so the packed
-    /// prediction is exactly the popcount argmax of the same signs.
-    pub fn score(&self, hvs: &[BipolarHv]) -> Vec<usize> {
-        match &self.scoring {
-            ScoringBackend::Packed(packed) => {
-                let queries: Vec<_> = hvs.iter().map(BipolarHv::to_packed).collect();
-                packed.predict_batch(&queries)
-            }
-            _ => self.scoring.predict_bipolar(&self.memory, hvs),
-        }
+    /// Scores fused hypervectors through this state's deployed memory
+    /// ([`HdDeployEngine::try_score`]): dense cosine, INT8 GEMM, or
+    /// packed popcount depending on the published [`ScoringMode`].
+    fn score(&self, hvs: Vec<BipolarHv>) -> Result<Vec<usize>, PipelineError> {
+        self.deploy.try_score(hvs.into_iter().map(QueryHv::Bipolar).collect())
     }
 
     /// Consensus predictions for a batch of CHW images against this
@@ -116,8 +107,7 @@ impl GlueState {
     /// Returns the first head's error on malformed or non-finite
     /// images.
     pub fn predict_batch(&self, images: &[Tensor]) -> Result<Vec<usize>, PipelineError> {
-        let hvs = self.encode_fused(images)?;
-        Ok(self.score(&hvs))
+        self.score(self.encode_fused(images)?)
     }
 }
 
@@ -137,11 +127,8 @@ impl GlueEngine {
     /// densely. Use [`set_scoring`](GlueEngine::set_scoring) to compile
     /// a quantised backend.
     pub fn new(ensemble: GlueEnsemble) -> Self {
-        let state = GlueState::assemble(
-            ensemble.heads().to_vec(),
-            Arc::new(ensemble.memory().clone()),
-            ScoringMode::Dense,
-        );
+        let deploy = HdDeployEngine::new(ensemble.memory().clone(), ScoringMode::Dense);
+        let state = GlueState { heads: ensemble.heads().to_vec(), deploy: Arc::new(deploy) };
         GlueEngine { state: RwLock::new(Arc::new(state)) }
     }
 
@@ -174,8 +161,7 @@ impl GlueEngine {
     pub fn swap_memory(&self, memory: AssociativeMemory) -> Result<Arc<GlueState>, PipelineError> {
         let _sp = nshd_obs::span("glue_memory_swap");
         let current = self.state();
-        let next =
-            GlueState::assemble(current.heads.clone(), Arc::new(memory), current.scoring.mode());
+        let next = current.with_memory(memory);
         let previous = self.publish(next)?;
         nshd_obs::counter("glue.memory_swaps").inc();
         Ok(previous)
@@ -191,7 +177,7 @@ impl GlueEngine {
     /// Returns [`PipelineError::Runtime`] for an out-of-range index and
     /// [`PipelineError::Analysis`] when the replacement head disagrees
     /// with the serving memory.
-    pub fn swap_head(&self, index: usize, head: GlueHead) -> Result<Arc<GlueState>, PipelineError> {
+    pub fn swap_head(&self, index: usize, head: Head) -> Result<Arc<GlueState>, PipelineError> {
         let _sp = nshd_obs::span("glue_head_swap");
         let current = self.state();
         if index >= current.heads.len() {
@@ -205,10 +191,9 @@ impl GlueEngine {
         }
         let mut heads = current.heads.clone();
         heads[index] = Arc::new(head);
-        // The memory is unchanged, so the compiled backend is reused
-        // as-is instead of being recompiled.
-        let next =
-            GlueState { heads, memory: current.memory.clone(), scoring: current.scoring.clone() };
+        // The memory is unchanged, so the deployment is shared as-is
+        // instead of being recompiled.
+        let next = GlueState { heads, deploy: current.deploy.clone() };
         let previous = self.publish(next)?;
         nshd_obs::counter("glue.head_swaps").inc();
         Ok(previous)
@@ -219,10 +204,9 @@ impl GlueEngine {
     /// over the old class set.
     pub fn add_class(&self) -> usize {
         let current = self.state();
-        let mut memory = AssociativeMemory::clone(&current.memory);
+        let mut memory = current.memory().clone();
         let index = memory.add_class();
-        let next =
-            GlueState::assemble(current.heads.clone(), Arc::new(memory), current.scoring.mode());
+        let next = current.with_memory(memory);
         let mut slot = self.state.write().unwrap_or_else(|poisoned| poisoned.into_inner());
         *slot = Arc::new(next);
         nshd_obs::counter("glue.class_adds").inc();
@@ -245,13 +229,12 @@ impl GlueEngine {
         let _sp = nshd_obs::span("glue_class_add");
         let current = self.state();
         let hvs = current.encode_fused(examples)?;
-        let mut memory = AssociativeMemory::clone(&current.memory);
+        let mut memory = current.memory().clone();
         let index = memory.add_class();
         for hv in &hvs {
             memory.bundle(index, hv);
         }
-        let next =
-            GlueState::assemble(current.heads.clone(), Arc::new(memory), current.scoring.mode());
+        let next = current.with_memory(memory);
         self.publish(next)?;
         nshd_obs::counter("glue.class_adds").inc();
         Ok(index)
@@ -270,7 +253,10 @@ impl GlueEngine {
     pub fn set_scoring(&self, mode: ScoringMode) -> Result<Arc<GlueState>, PipelineError> {
         let _sp = nshd_obs::span("glue_scoring_swap");
         let current = self.state();
-        let next = GlueState::assemble(current.heads.clone(), current.memory.clone(), mode);
+        let next = GlueState {
+            heads: current.heads.clone(),
+            deploy: Arc::new(HdDeployEngine::new(current.memory().clone(), mode)),
+        };
         let previous = self.publish(next)?;
         nshd_obs::counter("glue.scoring_swaps").inc();
         Ok(previous)
@@ -309,7 +295,7 @@ impl BatchEngine for GlueEngine {
         snapshot: &GlueState,
         partials: Vec<BipolarHv>,
     ) -> Result<Vec<usize>, PipelineError> {
-        Ok(snapshot.score(&partials))
+        snapshot.score(partials)
     }
 
     fn verify(&self) -> Result<(), PipelineError> {

@@ -14,8 +14,7 @@
 //!    ([`OnlineTrainer`]) re-bundles every misclassified example until
 //!    the counts converge (or the epoch budget runs out).
 
-use crate::head::GlueHead;
-use nshd_core::{verify_ensemble, EmbeddingClassifier, FeatureScaler, PipelineError};
+use nshd_core::{verify_ensemble, EmbeddingClassifier, FeatureScaler, Head, PipelineError};
 use nshd_data::ImageDataset;
 use nshd_hdc::{
     bundle_init, sign_with_tiebreak, AssociativeMemory, BipolarHv, EpochReport, OnlineTrainer,
@@ -97,11 +96,10 @@ pub struct HeadReport {
     pub weight: f32,
 }
 
-/// Weighted fused encode: every head encodes the batch, votes are
-/// accumulated `±weight` per component, and the accumulator re-binarises
-/// with deterministic position-keyed tie-breaking.
+/// Weighted fused encode: every head extracts and encodes the batch,
+/// then [`consensus`] bundles their votes.
 pub(crate) fn fuse_encode(
-    heads: &[Arc<GlueHead>],
+    heads: &[Arc<Head>],
     images: &[Tensor],
 ) -> Result<Vec<BipolarHv>, PipelineError> {
     let Some(first) = heads.first() else {
@@ -114,23 +112,35 @@ pub(crate) fn fuse_encode(
         return Ok(Vec::new());
     }
     let _sp = nshd_obs::span("glue_encode");
-    let dim = first.hv_dim();
-    let mut acc = vec![vec![0.0f32; dim]; images.len()];
-    for head in heads {
-        let hvs = head.encode_batch(images)?;
-        let weight = head.weight();
-        for (sample_acc, hv) in acc.iter_mut().zip(&hvs) {
-            for (a, &c) in sample_acc.iter_mut().zip(hv.components()) {
-                // Multiplication-free weighted bundling by sign.
-                if c > 0 {
-                    *a += weight;
-                } else {
-                    *a -= weight;
+    let votes = heads
+        .iter()
+        .map(|head| Ok((head.weight(), head.encode(&head.extract(images)?)?)))
+        .collect::<Result<Vec<_>, PipelineError>>()?;
+    Ok(consensus(&votes, first.dim()))
+}
+
+/// Weighted consensus bundle: for each sample, every head's hypervector
+/// adds `±weight` per component (in head order), and the accumulator
+/// re-binarises with deterministic position-keyed tie-breaking. `votes`
+/// holds one `(weight, per-sample hypervectors)` entry per head.
+fn consensus(votes: &[(f32, Vec<BipolarHv>)], dim: usize) -> Vec<BipolarHv> {
+    let samples = votes.first().map_or(0, |(_, hvs)| hvs.len());
+    (0..samples)
+        .map(|i| {
+            let mut acc = vec![0.0f32; dim];
+            for (weight, hvs) in votes {
+                for (a, &c) in acc.iter_mut().zip(hvs[i].components()) {
+                    // Multiplication-free weighted bundling by sign.
+                    if c > 0 {
+                        *a += weight;
+                    } else {
+                        *a -= weight;
+                    }
                 }
             }
-        }
-    }
-    Ok(acc.iter().map(|sample_acc| sign_with_tiebreak(sample_acc)).collect())
+            sign_with_tiebreak(&acc)
+        })
+        .collect()
 }
 
 /// A fused multi-teacher symbolic classifier: N teacher heads voting
@@ -142,7 +152,7 @@ pub(crate) fn fuse_encode(
 /// replicated serving can snapshot one fuse into several engines.
 #[derive(Clone)]
 pub struct GlueEnsemble {
-    heads: Vec<Arc<GlueHead>>,
+    heads: Vec<Arc<Head>>,
     memory: AssociativeMemory,
     head_reports: Vec<HeadReport>,
     correction: Vec<EpochReport>,
@@ -191,7 +201,7 @@ impl GlueEnsemble {
         let images: Vec<Tensor> = (0..train.len()).map(|i| train.images().batch_item(i)).collect();
         let mut heads = Vec::with_capacity(teachers.len());
         let mut head_reports = Vec::with_capacity(teachers.len());
-        let mut per_head_hvs: Vec<Vec<BipolarHv>> = Vec::with_capacity(teachers.len());
+        let mut votes: Vec<(f32, Vec<BipolarHv>)> = Vec::with_capacity(teachers.len());
         for (t, teacher) in teachers.iter().enumerate() {
             // Embed the fusion set once per teacher, in chunks so the
             // NCHW activations stay modest.
@@ -222,34 +232,20 @@ impl GlueEnsemble {
             let standalone = bundle_init(num_classes, config.hv_dim, &samples);
             let accuracy = standalone.accuracy(&samples);
             let (model, cut) = teacher.extractor();
-            let head = GlueHead::new(teacher.name(), model, cut, scaler, &projection, accuracy)?;
+            let head = Head::new(teacher.name(), model, cut, scaler, None, encoder, accuracy)?;
             head_reports.push(HeadReport {
                 name: head.name().to_string(),
                 standalone_accuracy: accuracy,
                 weight: accuracy,
             });
             heads.push(Arc::new(head));
-            per_head_hvs.push(hvs);
+            votes.push((accuracy, hvs));
         }
 
         // Weighted consensus bundle per sample, re-binarised.
         let dim = config.hv_dim;
-        let fused: Vec<(BipolarHv, usize)> = (0..train.len())
-            .map(|i| {
-                let mut acc = vec![0.0f32; dim];
-                for (head, hvs) in heads.iter().zip(&per_head_hvs) {
-                    let weight = head.weight();
-                    for (a, &c) in acc.iter_mut().zip(hvs[i].components()) {
-                        if c > 0 {
-                            *a += weight;
-                        } else {
-                            *a -= weight;
-                        }
-                    }
-                }
-                (sign_with_tiebreak(&acc), labels[i])
-            })
-            .collect();
+        let fused: Vec<(BipolarHv, usize)> =
+            consensus(&votes, dim).into_iter().zip(labels.iter().copied()).collect();
         let mut memory = bundle_init(num_classes, dim, &fused);
         // Error-correcting retraining on the fused representatives:
         // every misclassified example strengthens its true class and
@@ -274,7 +270,7 @@ impl GlueEnsemble {
     }
 
     /// The teacher heads, in fuse order.
-    pub fn heads(&self) -> &[Arc<GlueHead>] {
+    pub fn heads(&self) -> &[Arc<Head>] {
         &self.heads
     }
 

@@ -10,7 +10,12 @@
 //! [`AssociativeMemory`](nshd_hdc::AssociativeMemory) refined by
 //! error-correcting retraining.
 //!
-//! The crate splits along the fuse/serve boundary:
+//! Each teacher's path into hyperspace is an [`nshd_core::Head`] — the
+//! same symbolization head a single-teacher
+//! [`NshdEngine`](nshd_core::NshdEngine) serves — and the consensus
+//! memory is served through the one deployed-memory type,
+//! [`nshd_core::HdDeployEngine`]. The crate splits along the fuse/serve
+//! boundary:
 //!
 //! - [`GlueEnsemble::fuse`] is the **offline** half — builds the heads,
 //!   weights, and consensus memory from a fusion set, deterministically.
@@ -26,8 +31,6 @@
 
 mod engine;
 mod ensemble;
-mod head;
 
 pub use engine::{GlueEngine, GlueState};
 pub use ensemble::{GlueConfig, GlueEnsemble, HeadReport};
-pub use head::GlueHead;

@@ -123,21 +123,20 @@ impl ScoringBackend {
 
     /// Batch predictions for sign queries in whichever representation
     /// they arrived: each backend converts to its native form (a pure
-    /// repacking — signs are never re-derived).
+    /// repacking — signs are never re-derived). Queries already in the
+    /// native form are moved, not copied.
     ///
     /// # Panics
     ///
     /// Panics if dimensions disagree or the memory has no classes.
-    pub fn predict_queries(&self, dense: &AssociativeMemory, queries: &[QueryHv]) -> Vec<usize> {
+    pub fn predict_queries(&self, dense: &AssociativeMemory, queries: Vec<QueryHv>) -> Vec<usize> {
         match self {
             ScoringBackend::Packed(pm) => {
-                let packed: Vec<PackedHv> =
-                    queries.iter().map(|q| q.clone().into_packed()).collect();
+                let packed: Vec<PackedHv> = queries.into_iter().map(QueryHv::into_packed).collect();
                 pm.predict_batch(&packed)
             }
             _ => {
-                let hvs: Vec<BipolarHv> =
-                    queries.iter().map(|q| q.clone().into_bipolar()).collect();
+                let hvs: Vec<BipolarHv> = queries.into_iter().map(QueryHv::into_bipolar).collect();
                 self.predict_bipolar(dense, &hvs)
             }
         }
@@ -296,11 +295,11 @@ mod tests {
         let queries: Vec<QueryHv> = (0..6)
             .map(|s| QueryHv::Bipolar(BipolarHv::from_signs(&mk(s as u64 * 11 + 2))))
             .collect();
-        let dense_pred = ScoringBackend::Dense.predict_queries(&memory, &queries);
+        let dense_pred = ScoringBackend::Dense.predict_queries(&memory, queries.clone());
         for mode in [ScoringMode::Int8, ScoringMode::Packed] {
             let backend = ScoringBackend::build(&memory, mode);
             assert_eq!(backend.mode(), mode);
-            let pred = backend.predict_queries(&memory, &queries);
+            let pred = backend.predict_queries(&memory, queries.clone());
             assert_eq!(pred, dense_pred, "{} disagrees with dense", mode.name());
         }
         // Query equal to the duplicated class row: maximal similarity is
@@ -311,7 +310,7 @@ mod tests {
             ScoringBackend::build(&memory, ScoringMode::Int8),
             ScoringBackend::build(&memory, ScoringMode::Packed),
         ] {
-            assert_eq!(backend.predict_queries(&memory, &tie), vec![3]);
+            assert_eq!(backend.predict_queries(&memory, tie.clone()), vec![3]);
         }
     }
 }

@@ -4,9 +4,9 @@
 //! quantises it to INT8, "with very minor impacts on the prediction
 //! quality" (§VI-B); the GPGPU path likewise stores binary hypervectors
 //! in constant memory. This module provides both deployment forms —
-//! [`QuantizedMemory`] (per-class symmetric INT8) and [`BinaryMemory`]
-//! (sign-binarised, packed, popcount similarity; [`PackedMemory`] is its
-//! serving-path alias) — so that claim is testable in-repo.
+//! [`QuantizedMemory`] (per-class symmetric INT8) and [`PackedMemory`]
+//! (sign-binarised, packed, popcount similarity) — so that claim is
+//! testable in-repo.
 //!
 //! Both forms carry a batch scoring path (`similarities_batch` /
 //! `predict_batch`): an XNOR+popcount (packed) or add/sub-by-sign
@@ -245,18 +245,18 @@ impl QuantizedMemory {
 /// sign pattern and bit-packed; similarity by popcount — the paper's
 /// constant-memory GPGPU representation.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BinaryMemory {
+pub struct PackedMemory {
     dim: usize,
     classes: Vec<PackedHv>,
 }
 
-impl BinaryMemory {
+impl PackedMemory {
     /// Binarises a trained memory: `sign` of each class accumulator.
     pub fn from_memory(memory: &AssociativeMemory) -> Self {
         let classes = (0..memory.num_classes())
             .map(|c| BipolarHv::from_signs(memory.class(c)).to_packed())
             .collect();
-        BinaryMemory { dim: memory.dim(), classes }
+        PackedMemory { dim: memory.dim(), classes }
     }
 
     /// Number of classes.
@@ -394,11 +394,6 @@ impl BinaryMemory {
     }
 }
 
-/// The packed deployment under its serving-path name: the batch scoring
-/// tier (`nshd-core`, `nshd-net`) talks about a `PackedMemory` scoring
-/// packed wire queries, which is exactly the binarised [`BinaryMemory`].
-pub type PackedMemory = BinaryMemory;
-
 /// Hamming distance over packed words, tiled four words at a time
 /// across independent accumulator lanes (XOR+popcount; the XNOR match
 /// count is `dim - hamming`). Integer arithmetic is exact in any
@@ -475,7 +470,7 @@ mod tests {
     fn binarisation_preserves_most_accuracy() {
         let (memory, test) = trained_task(4_096);
         let float_acc = memory.accuracy(&test);
-        let binary = BinaryMemory::from_memory(&memory);
+        let binary = PackedMemory::from_memory(&memory);
         let bin_acc = binary.accuracy(&test);
         assert!(bin_acc > float_acc - 0.1, "binarisation lost too much: {float_acc} → {bin_acc}");
     }
@@ -498,7 +493,7 @@ mod tests {
         let (memory, _) = trained_task(1_024);
         let float_bytes = (memory.param_count() * 4) as u64;
         let quant = QuantizedMemory::from_memory(&memory);
-        let binary = BinaryMemory::from_memory(&memory);
+        let binary = PackedMemory::from_memory(&memory);
         assert!(quant.size_bytes() < float_bytes / 3);
         assert!(binary.size_bytes() < quant.size_bytes() / 7);
         assert_eq!(quant.num_classes(), memory.num_classes());
@@ -509,7 +504,7 @@ mod tests {
     fn empty_sample_sets_score_zero() {
         let (memory, _) = trained_task(256);
         assert_eq!(QuantizedMemory::from_memory(&memory).accuracy(&[]), 0.0);
-        assert_eq!(BinaryMemory::from_memory(&memory).accuracy(&[]), 0.0);
+        assert_eq!(PackedMemory::from_memory(&memory).accuracy(&[]), 0.0);
     }
 
     #[test]
@@ -531,7 +526,7 @@ mod tests {
         assert_eq!(sims[1], 0.0, "empty class similarity {sims:?}");
         assert_eq!(quant.predict(&a), 0);
         // The binary deployment of the same memory stays usable too.
-        let binary = BinaryMemory::from_memory(&memory);
+        let binary = PackedMemory::from_memory(&memory);
         assert_eq!(binary.predict(&a.to_packed()), 0);
     }
 

@@ -99,14 +99,14 @@ fn popcount_ranking_agrees_with_dense_argmax_on_bipolar_memories() {
         let hvs: Vec<BipolarHv> = (0..n).map(|_| random_hv(dim, &mut rng)).collect();
         let queries: Vec<nshd_hdc::QueryHv> =
             hvs.iter().map(|h| nshd_hdc::QueryHv::Bipolar(h.clone())).collect();
-        let dense = ScoringBackend::Dense.predict_queries(&memory, &queries);
+        let dense = ScoringBackend::Dense.predict_queries(&memory, queries.clone());
         // Sanity: the dense batch path matches the dense pointwise path.
         for (hv, &pred) in hvs.iter().zip(&dense) {
             assert_eq!(memory.predict(hv), pred);
         }
         for mode in [ScoringMode::Packed, ScoringMode::Int8] {
             let backend = ScoringBackend::build(&memory, mode);
-            let pred = backend.predict_queries(&memory, &queries);
+            let pred = backend.predict_queries(&memory, queries.clone());
             assert_eq!(pred, dense, "{} ranking diverged from dense", mode.name());
         }
     }
@@ -128,7 +128,7 @@ fn tie_rows_resolve_to_last_maximum_everywhere() {
     for mode in [ScoringMode::Dense, ScoringMode::Int8, ScoringMode::Packed] {
         let backend = ScoringBackend::build(&memory, mode);
         assert_eq!(
-            backend.predict_queries(&memory, &tie_queries),
+            backend.predict_queries(&memory, tie_queries.clone()),
             vec![classes - 1],
             "{} must resolve the tie to the last maximum",
             mode.name()

@@ -84,7 +84,7 @@ pub const LEDGERS: [LedgerSpec; 5] = [
         code: RuleCode::L008UnledgeredAtomic,
         what: "atomic `Ordering::` site",
         advice: "every memory-ordering choice is a reviewed decision: ledger the site with a \
-                 one-line rationale in crates/xtask/atomic_allowlist.txt, or use a lock",
+                 one-line rationale in crates/lint/atomic_allowlist.txt, or use a lock",
         rationale_required: true,
     },
     LedgerSpec {
@@ -92,14 +92,14 @@ pub const LEDGERS: [LedgerSpec; 5] = [
         code: RuleCode::L009UnsafeAudit,
         what: "`unsafe` code",
         advice: "keep the workspace safe Rust; a genuinely necessary block needs an adjacent \
-                 `// SAFETY:` comment and a rationale entry in crates/xtask/unsafe_allowlist.txt",
+                 `// SAFETY:` comment and a rationale entry in crates/lint/unsafe_allowlist.txt",
         rationale_required: true,
     },
 ];
 
 /// Parses `dir/<spec.file>`. Zero counts, duplicate paths, malformed
 /// lines, and (where required) missing rationales are hard errors —
-/// the same conditions `xtask ledgers` asserts in CI.
+/// the same conditions `nshd-lint ledgers` asserts in CI.
 pub fn parse_ledger(dir: &Path, spec: &LedgerSpec) -> Result<Ledger, String> {
     let path = dir.join(spec.file);
     let text = std::fs::read_to_string(&path)
@@ -263,7 +263,7 @@ mod tests {
         };
         let counts = vec![(PathBuf::from("crates/a/src/x.rs"), vec![10])];
         let mut out = Vec::new();
-        let at = PathBuf::from("crates/xtask/atomic_allowlist.txt");
+        let at = PathBuf::from("crates/lint/atomic_allowlist.txt");
         check_ledger(&ledger, spec(), &counts, &at, &mut out);
         assert_eq!(out.len(), 1, "{out:?}");
         assert_eq!(out[0].path, at);

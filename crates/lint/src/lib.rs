@@ -13,9 +13,9 @@
 //! passes ([`rules`]) match token sequences and emit structured
 //! [`Diagnostic`]s with stable `NSHD-L001`…`NSHD-L010` codes
 //! ([`diag`]), and the ledgered rules are reconciled against the
-//! shrink-only allowlists ([`ledger`]). `cargo run -p xtask -- lint`
-//! is a thin driver over [`run`]; `--json` renders the stable
-//! `nshd-lint/v1` report CI archives.
+//! shrink-only allowlists ([`ledger`]). The crate's binary
+//! (`cargo run -p nshd-lint -- lint`) is a thin driver over [`run`];
+//! `--json` renders the stable `nshd-lint/v1` report CI archives.
 
 pub mod diag;
 pub mod ledger;
@@ -37,21 +37,20 @@ pub struct Config {
     /// Workspace root; diagnostics report paths relative to it.
     pub root: PathBuf,
     /// Directory containing the ledger files (the real workspace keeps
-    /// them in `crates/xtask/`; fixture trees bring their own).
+    /// them in `crates/lint/`; fixture trees bring their own).
     pub ledger_dir: PathBuf,
 }
 
 impl Config {
-    /// The workspace convention: ledgers live in `crates/xtask/`.
+    /// The workspace convention: ledgers live in `crates/lint/`.
     pub fn for_root(root: impl Into<PathBuf>) -> Config {
         let root = root.into();
-        let ledger_dir = root.join("crates").join("xtask");
+        let ledger_dir = root.join("crates").join("lint");
         Config { root, ledger_dir }
     }
 }
 
-/// Collects every `crates/*/src/**/*.rs` under `root` (excluding
-/// `crates/xtask`, which is the gate's own driver) in sorted order,
+/// Collects every `crates/*/src/**/*.rs` under `root` in sorted order,
 /// returning workspace-relative paths with file contents.
 pub fn collect_sources(root: &Path) -> Result<Vec<(PathBuf, String)>, String> {
     let crates_dir = root.join("crates");
@@ -61,7 +60,7 @@ pub fn collect_sources(root: &Path) -> Result<Vec<(PathBuf, String)>, String> {
     for entry in entries {
         let entry = entry.map_err(|e| format!("read_dir: {e}"))?;
         let name = entry.file_name().to_string_lossy().into_owned();
-        if entry.path().is_dir() && name != "xtask" {
+        if entry.path().is_dir() {
             crate_names.push(name);
         }
     }
@@ -170,7 +169,7 @@ pub fn run(config: &Config) -> Result<Report, String> {
 }
 
 /// Parses all five ledgers under `dir`, returning `(file name, entry
-/// count)` per ledger — the `xtask ledgers` validation: every ledger
+/// count)` per ledger — the `nshd-lint ledgers` validation: every ledger
 /// must parse with no zero-count, duplicate, or rationale-less
 /// entries.
 pub fn validate_ledgers(dir: &Path) -> Result<Vec<(&'static str, usize)>, String> {
@@ -191,19 +190,18 @@ mod tests {
     }
 
     #[test]
-    fn config_for_root_uses_the_xtask_ledger_dir() {
+    fn config_for_root_uses_the_lint_ledger_dir() {
         let c = Config::for_root("/w");
-        assert_eq!(c.ledger_dir, Path::new("/w/crates/xtask"));
+        assert_eq!(c.ledger_dir, Path::new("/w/crates/lint"));
     }
 
     #[test]
-    fn sources_cover_the_workspace_and_exclude_the_driver() {
+    fn sources_cover_the_workspace() {
         let sources = collect_sources(&workspace_root()).expect("collect");
         let rels: Vec<String> =
             sources.iter().map(|(r, _)| r.to_string_lossy().replace('\\', "/")).collect();
         assert!(rels.iter().any(|r| r.starts_with("crates/tensor/src/")), "{rels:?}");
         assert!(rels.iter().any(|r| r.starts_with("crates/lint/src/")), "lint scans itself");
-        assert!(rels.iter().all(|r| !r.starts_with("crates/xtask/")), "driver excluded");
         let mut sorted = rels.clone();
         sorted.sort();
         assert_eq!(rels, sorted, "deterministic order");

@@ -1,16 +1,16 @@
-//! Workspace automation — a thin driver over the [`nshd_lint`]
-//! analyzer crate.
+//! The `nshd-lint` command — a thin driver over the [`nshd_lint`]
+//! analyzer library.
 //!
 //! ```text
-//! cargo run -p xtask -- lint            # human-readable gate
-//! cargo run -p xtask -- lint --json     # stable nshd-lint/v1 report
-//! cargo run -p xtask -- ledgers         # validate the allowlists
+//! cargo run -q -p nshd-lint -- lint            # human-readable gate
+//! cargo run -q -p nshd-lint -- lint --json     # stable nshd-lint/v1 report
+//! cargo run -q -p nshd-lint -- ledgers         # validate the allowlists
 //! ```
 //!
 //! `lint` runs all ten rule passes (`NSHD-L001`…`NSHD-L010` — see
 //! `docs/lint-rules.md`) over every `crates/*/src` tree and reconciles
 //! the ledgered rules against the shrink-only allowlists in
-//! `crates/xtask/`. `ledgers` just parses and validates the five
+//! `crates/lint/`. `ledgers` just parses and validates the five
 //! allowlist files: no zero-count entries, no duplicates, rationales
 //! present where required — the CI step that keeps the ledgers honest
 //! even when the gate itself is green.
@@ -26,7 +26,9 @@ fn main() -> ExitCode {
                 None => false,
                 Some("--json") => true,
                 Some(other) => {
-                    eprintln!("unknown flag `{other}`; usage: cargo run -p xtask -- lint [--json]");
+                    eprintln!(
+                        "unknown flag `{other}`; usage: cargo run -p nshd-lint -- lint [--json]"
+                    );
                     return ExitCode::FAILURE;
                 }
             };
@@ -38,13 +40,13 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
         None => {
-            eprintln!("usage: cargo run -p xtask -- <lint [--json] | ledgers>");
+            eprintln!("usage: cargo run -p nshd-lint -- <lint [--json] | ledgers>");
             ExitCode::FAILURE
         }
     }
 }
 
-/// Locates the workspace root: the nearest ancestor of this binary's
+/// Locates the workspace root: the nearest ancestor of this crate's
 /// manifest directory containing a top-level `Cargo.toml` with a
 /// `[workspace]` table (falls back to the current directory).
 fn workspace_root() -> PathBuf {
@@ -65,7 +67,7 @@ fn lint(json: bool) -> ExitCode {
     let report = match nshd_lint::run(&config) {
         Ok(report) => report,
         Err(e) => {
-            eprintln!("xtask lint: {e}");
+            eprintln!("nshd-lint lint: {e}");
             return ExitCode::FAILURE;
         }
     };
@@ -75,7 +77,7 @@ fn lint(json: bool) -> ExitCode {
     }
     if report.is_clean() {
         eprintln!(
-            "xtask lint: OK ({} files, {} rules)",
+            "nshd-lint lint: OK ({} files, {} rules)",
             report.files,
             nshd_lint::RuleCode::ALL.len()
         );
@@ -84,7 +86,7 @@ fn lint(json: bool) -> ExitCode {
     for d in &report.diagnostics {
         eprintln!("{}", d.render());
     }
-    eprintln!("xtask lint: {} violation(s)", report.diagnostics.len());
+    eprintln!("nshd-lint lint: {} violation(s)", report.diagnostics.len());
     ExitCode::FAILURE
 }
 
@@ -93,12 +95,12 @@ fn ledgers() -> ExitCode {
     match nshd_lint::validate_ledgers(&config.ledger_dir) {
         Ok(summary) => {
             for (file, entries) in summary {
-                eprintln!("xtask ledgers: {file}: {entries} entr{} OK", plural_y(entries));
+                eprintln!("nshd-lint ledgers: {file}: {entries} entr{} OK", plural_y(entries));
             }
             ExitCode::SUCCESS
         }
         Err(e) => {
-            eprintln!("xtask ledgers: {e}");
+            eprintln!("nshd-lint ledgers: {e}");
             ExitCode::FAILURE
         }
     }

@@ -251,9 +251,9 @@ impl LatencySummary {
     }
 }
 
-/// Frozen serving metrics. Field names mirror the old `RuntimeMetrics` (the
-/// runtime re-exports this type under that name), with queue-wait and
-/// execute-time summaries added.
+/// Frozen serving metrics: throughput, batch sizes and latency, with
+/// queue-wait and execute-time summaries. `nshd-runtime` reports its
+/// serving statistics in this type.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServingMetrics {
     /// Total requests completed.

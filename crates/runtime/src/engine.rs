@@ -144,9 +144,6 @@ impl BatchEngine for HdDeployEngine {
     }
 
     fn verify(&self) -> Result<(), PipelineError> {
-        if self.num_classes() == 0 || self.dim() == 0 {
-            return Err(PipelineError::EmptyBatch);
-        }
-        Ok(())
+        HdDeployEngine::verify(self).map_err(PipelineError::from)
     }
 }

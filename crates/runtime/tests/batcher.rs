@@ -239,6 +239,28 @@ fn engine_failing_verification_is_rejected_at_construction() {
     assert!(err.to_string().contains("deliberately broken"), "{err}");
 }
 
+/// A deployed memory holding NaN would poison every argmax; the runtime
+/// must refuse it exactly as it refuses the same memory behind an
+/// `NshdEngine`.
+#[test]
+fn non_finite_deployed_memory_is_rejected_at_construction() {
+    use nshd_core::{HdDeployEngine, Stage};
+    use nshd_hdc::{AssociativeMemory, ScoringMode};
+    for mode in [ScoringMode::Dense, ScoringMode::Int8, ScoringMode::Packed] {
+        let mut memory = AssociativeMemory::new(3, 64);
+        memory.class_mut(1)[5] = f32::NAN;
+        let engine = Arc::new(HdDeployEngine::new(memory, mode));
+        let Err(err) = InferenceRuntime::new(engine, RuntimeConfig::default()) else {
+            panic!("NaN memory accepted under {} scoring", mode.name());
+        };
+        assert!(
+            matches!(&err, PipelineError::Analysis(report) if report.stage == Stage::Memory),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("non-finite"), "{err}");
+    }
+}
+
 #[test]
 fn a_failed_batch_fails_only_its_own_handles() {
     let engine = MockEngine::new();

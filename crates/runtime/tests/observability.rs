@@ -39,7 +39,7 @@ impl BatchEngine for SpanningEngine {
     }
 }
 
-fn serve(workers: usize, requests: u64) -> nshd_runtime::RuntimeMetrics {
+fn serve(workers: usize, requests: u64) -> nshd_obs::ServingMetrics {
     let runtime = InferenceRuntime::new(
         Arc::new(SpanningEngine),
         RuntimeConfig { workers, max_batch: 8, max_wait: Duration::from_millis(10) },

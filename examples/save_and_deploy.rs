@@ -8,7 +8,7 @@
 
 use nshd::core::{load_pipeline, NshdConfig, NshdModel};
 use nshd::data::{normalize_pair, SynthSpec};
-use nshd::hdc::{BinaryMemory, QuantizedMemory};
+use nshd::hdc::{PackedMemory, QuantizedMemory};
 use nshd::nn::{fit, Adam, Architecture, TrainConfig};
 use nshd::tensor::Rng;
 use std::error::Error;
@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let samples = restored.symbolize_dataset(&test);
     let f32_acc = restored.memory().accuracy(&samples);
     let int8 = QuantizedMemory::from_memory(restored.memory());
-    let binary = BinaryMemory::from_memory(restored.memory());
+    let binary = PackedMemory::from_memory(restored.memory());
     println!("\nclass-memory deployment options:");
     println!("  f32    {:>8} bytes  accuracy {:.3}", restored.memory().param_count() * 4, f32_acc);
     println!("  int8   {:>8} bytes  accuracy {:.3}", int8.size_bytes(), int8.accuracy(&samples));

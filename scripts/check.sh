@@ -18,6 +18,12 @@ fi
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+echo "==> perfbench build + tests"
+# The benchmark is its own cargo workspace over the crates' public
+# APIs; building and testing it here makes an API change it depends on
+# fail this gate rather than only the benchmark run.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test (NSHD_THREADS=1)"
 NSHD_THREADS=1 cargo test -q --workspace
 
@@ -50,17 +56,17 @@ echo "==> nshd-lint self-tests"
 # proving every rule both fires and stays silent.
 cargo test -q -p nshd-lint
 
-echo "==> xtask ledgers"
+echo "==> nshd-lint ledgers"
 # The five shrink-only allowlists must parse with no zero-count or
 # duplicate entries, and with rationales where required.
-cargo run -q -p xtask -- ledgers
+cargo run -q -p nshd-lint -- ledgers
 
-echo "==> xtask lint"
+echo "==> nshd-lint lint"
 # Workspace static gate (rules NSHD-L001..L010, docs/lint-rules.md):
 # ledgered unwrap/clock/thread/atomic/unsafe sites, panic-free
 # nshd-runtime, #[must_use] + docs contracts, acyclic lock order, and
 # no hash-order iteration in the determinism-critical crates.
-cargo run -q -p xtask -- lint
+cargo run -q -p nshd-lint -- lint
 
 if [[ "$FAST" == "1" ]]; then
   echo "==> fast gate passed (bench smokes and docs skipped)"
