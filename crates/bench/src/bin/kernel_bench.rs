@@ -7,8 +7,9 @@
 //! GEMM) — once with one thread and once with the full worker set
 //! (`par::with_threads`), over a size grid. Every pair of runs is
 //! checked **bit-identical** (`to_bits` equality), the determinism
-//! contract of `nshd_tensor::par`; the GEMM SIMD micro-kernels are
-//! additionally cross-checked bitwise against the scalar reference.
+//! contract of `nshd_tensor::par`; the GEMM SIMD micro-kernels and the
+//! AVX2 sign-select encode kernel are additionally cross-checked
+//! bitwise against their scalar builds.
 //!
 //! Emits one JSON object on stdout with the per-kernel × size grid
 //! (serial GFLOP/s, parallel GFLOP/s, speedup, bitwise equality) plus
@@ -208,17 +209,17 @@ fn main() {
         cells.push(measure("conv2d", shape, flops, reps, args.threads, || conv.infer(&x)));
     }
 
-    // Batched HD encode: values · basis GEMM.
+    // Batched HD encode: the sign-select kernel over the packed
+    // projection bits (FLOPs counted as the dense-equivalent GEMM).
+    let features = 4 * (conv_hw / 2) * (conv_hw / 2);
+    let encoder = RandomProjection::new(features, hv_dim, 23).batch_encoder();
+    let encode_values = rand_tensor([encode_batch, features], &mut rng);
     {
-        let features = 4 * (conv_hw / 2) * (conv_hw / 2);
-        let proj = RandomProjection::new(features, hv_dim, 23);
-        let enc = proj.batch_encoder();
-        let values = rand_tensor([encode_batch, features], &mut rng);
         let flops = 2 * (encode_batch * features * hv_dim) as u64;
         let reps = reps_for(flops, budget / 2);
         let shape = format!("n{encode_batch}f{features}d{hv_dim}");
         cells.push(measure("hd_encode", shape, flops, reps, args.threads, || {
-            enc.encode_raw_batch(&values)
+            encoder.encode_raw_batch(&encode_values)
         }));
     }
 
@@ -251,20 +252,35 @@ fn main() {
         }));
     }
 
-    // SIMD micro-kernels vs the scalar reference: one whole-matrix
-    // cross-check at the largest GEMM size (the tensor crate's
-    // conformance suite covers the ragged shape grid; this pins the
-    // bench's own sizes and records the result in the report).
+    // SIMD kernels vs the scalar reference: one whole-output
+    // cross-check each for the GEMM at the largest size and for the
+    // sign-select kernel at the `hd_encode` cell's shape (the tensor
+    // crate's conformance suites cover the ragged shape grids; this
+    // pins the bench's own sizes and records the result in the report).
     let simd_scalar_bit_identical = {
         let s = *gemm_sizes.last().expect("grid is never empty");
         let a = rand_tensor([s, s], &mut rng);
         let b = rand_tensor([s, s], &mut rng);
-        let was_enabled = nshd_tensor::simd_enabled();
-        let with_simd = matmul(&a, &b);
-        nshd_tensor::set_simd_enabled(false);
-        let scalar = matmul(&a, &b);
-        nshd_tensor::set_simd_enabled(was_enabled);
-        with_simd.as_slice().iter().zip(scalar.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits())
+        let both_backends = |run: &dyn Fn() -> Tensor| {
+            let was_enabled = nshd_tensor::simd_enabled();
+            let with_simd = run();
+            nshd_tensor::set_simd_enabled(false);
+            let scalar = run();
+            nshd_tensor::set_simd_enabled(was_enabled);
+            with_simd
+                .as_slice()
+                .iter()
+                .zip(scalar.as_slice())
+                .all(|(x, y)| x.to_bits() == y.to_bits())
+        };
+        let matmul_ok = both_backends(&|| matmul(&a, &b));
+        let encode_ok = both_backends(&|| encoder.encode_raw_batch(&encode_values));
+        eprintln!(
+            "[kernel_bench] simd vs scalar: matmul {} | hd_encode {}",
+            if matmul_ok { "ok" } else { "MISMATCH" },
+            if encode_ok { "ok" } else { "MISMATCH" }
+        );
+        matmul_ok && encode_ok
     };
 
     nshd_obs::install(previous);
@@ -313,7 +329,7 @@ fn main() {
     );
     assert!(
         simd_scalar_bit_identical,
-        "SIMD micro-kernel output diverged bitwise from the scalar reference"
+        "SIMD kernel output (matmul or hd_encode) diverged bitwise from the scalar reference"
     );
     if args.smoke {
         assert!(json.starts_with('{') && json.ends_with('}'));

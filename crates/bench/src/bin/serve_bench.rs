@@ -7,7 +7,7 @@
 //! 1. **baseline** — one image at a time through `NshdModel::predict`
 //!    on the calling thread (bit-serial HD encode, scalar scoring);
 //! 2. **batched** — every request submitted to an `InferenceRuntime`
-//!    (micro-batching collector + worker pool + GEMM encode + one
+//!    (micro-batching collector + worker pool + batch encode + one
 //!    `matmul_bt` score per batch), with an `nshd-obs` recorder
 //!    installed so every stage is traced and profiled.
 //!
@@ -82,7 +82,7 @@ fn parse_args(scale: Scale) -> Args {
 
 /// A deliberately early-cut teacher: the serving profile the runtime
 /// targets keeps the CNN prefix cheap and lets HD encoding dominate,
-/// which is where batching pays (GEMM encode vs bit-serial).
+/// which is where batching pays (batch encode vs bit-serial).
 fn tiny_teacher(rng: &mut Rng) -> Model {
     let features = Sequential::new()
         .with(Conv2d::new(3, 8, 3, 1, 1, rng))

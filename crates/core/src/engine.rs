@@ -8,19 +8,20 @@
 //!
 //! - images are stacked into one NCHW tensor and pushed through the
 //!   truncated teacher **once per batch** (`&self` inference path);
-//! - HD encoding runs as a single dense GEMM via
-//!   [`nshd_hdc::BatchEncoder`] instead of `N` bit-serial passes;
+//! - HD encoding runs as one sign-select pass over the packed
+//!   projection bits via [`nshd_hdc::BatchEncoder`] instead of `N`
+//!   bit-serial passes;
 //! - associative-memory scoring is one batch GEMM through the
 //!   deployment's compiled backend instead of `N·k` scalar cosine loops.
 //!
 //! The two halves are exposed separately ([`extract_values`] /
 //! [`finish_values`]) so the runtime can data-parallelise the
 //! convolutional half across workers and still finish the whole batch
-//! with one GEMM.
+//! with one encode and one scoring pass.
 //!
 //! **Determinism.** The produced hypervectors are bit-identical to
 //! [`NshdModel::symbolize`]: evaluation-mode CNN layers are
-//! batch-size-independent, and the GEMM encoder accumulates features in
+//! batch-size-independent, and the batch encoder accumulates features in
 //! the same order (with the same zero-skip) as the bit-serial encoder.
 //! Similarity *scores* may differ from the sequential path in the last
 //! float bits (different dot-product lane structure), so equality is
@@ -209,7 +210,7 @@ impl NshdEngine {
     }
 
     /// Stage 2 — HD encode + associative scoring for a whole batch of
-    /// extracted values: one GEMM to encode, then one batch-scoring GEMM
+    /// extracted values: one batch encode, then one batch-scoring pass
     /// through the deployed memory ([`HdDeployEngine::try_score`]). The
     /// packed mode encodes straight to packed hypervectors, so it never
     /// materialises dense ones at all.

@@ -5,7 +5,7 @@
 //! is one head in front of one deployed class memory; an `nshd-glue`
 //! ensemble is several weighted heads voting into one. Each step of the
 //! path lives here once: the input check, the truncated-CNN extraction
-//! (scaling plus the optional manifold), and the GEMM encode to dense or
+//! (scaling plus the optional manifold), and the batch encode to dense or
 //! bit-packed hypervectors.
 //!
 //! [`NshdEngine`]: crate::NshdEngine

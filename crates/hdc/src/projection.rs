@@ -2,7 +2,7 @@
 //! adjoint used by the manifold-learner backward pass.
 
 use crate::hypervector::{BipolarHv, PackedHv};
-use nshd_tensor::{matmul, par, Rng, Tensor};
+use nshd_tensor::{matmul_signs, par, Rng, Tensor};
 
 /// A seeded bipolar random-projection encoder.
 ///
@@ -156,7 +156,7 @@ impl RandomProjection {
             .collect()
     }
 
-    /// Builds the dense-GEMM batch encoder for this projection — see
+    /// Builds the batch encoder for this projection — see
     /// [`BatchEncoder`].
     pub fn batch_encoder(&self) -> BatchEncoder {
         BatchEncoder::new(self)
@@ -175,17 +175,25 @@ impl RandomProjection {
     }
 }
 
-/// The dense-GEMM counterpart of [`RandomProjection`] for batched
-/// encoding: the bit-packed base hypervectors unpacked once into an
-/// `F×D` ±1 matrix, so a whole batch of feature vectors encodes as a
-/// single matrix product instead of `N` bit-serial accumulation passes.
+/// The batched counterpart of [`RandomProjection`]: a whole batch of
+/// feature vectors encodes in one pass of the sign-select kernel
+/// ([`nshd_tensor::matmul_signs`]) instead of `N` bit-serial
+/// accumulation passes.
+///
+/// It holds the projection's base hypervectors exactly as the
+/// projection stores them — `F` rows of `⌈D/64⌉` packed sign words,
+/// row-major (512 KiB at `F = D = 2048`) — and never unpacks them: the
+/// kernel turns each stored bit into a sign flip of the feature value
+/// inside its register tile, so no dense `F×D` basis is ever built.
 ///
 /// `encode_raw_batch` is **bit-identical** to per-sample
-/// [`RandomProjection::encode_raw`]: the GEMM kernel accumulates the
-/// inner (feature) dimension sequentially and skips exact zeros, the
-/// same summation order and zero-skip as the bit-serial path, and
-/// `±1.0 · v` is exact in IEEE arithmetic. The serving runtime's
-/// determinism guarantee rests on this equality.
+/// [`RandomProjection::encode_raw`]: both accumulate the features in
+/// ascending order into one accumulator per dimension, skip exact
+/// zeros, and add `±v_f` — the kernel's sign flip gives `v_f` or `−v_f`
+/// exactly as the bit-serial `+= v` / `-= v` does. The serving
+/// runtime's determinism guarantee rests on this equality; it holds for
+/// every non-NaN input, and with NaN inputs the binarised hypervectors
+/// still agree.
 ///
 /// # Examples
 ///
@@ -204,31 +212,16 @@ impl RandomProjection {
 pub struct BatchEncoder {
     features: usize,
     dim: usize,
-    /// Row-major `F×D` matrix of ±1.0, row `f` = unpacked `P_f`.
-    basis: Tensor,
+    /// Row-major `F × ⌈D/64⌉` sign words; row `f` = `P_f`'s packed words.
+    signs: Vec<u64>,
 }
 
 impl BatchEncoder {
-    /// Unpacks `proj`'s base hypervectors into the dense basis matrix.
+    /// Copies `proj`'s packed base hypervectors into one contiguous
+    /// sign-word matrix.
     pub fn new(proj: &RandomProjection) -> Self {
-        let (features, dim) = (proj.features, proj.dim);
-        let mut data = Vec::with_capacity(features * dim);
-        for row in &proj.rows {
-            let mut d = 0usize;
-            'row: for word in row.words() {
-                let mut bits = *word;
-                for _ in 0..64 {
-                    if d == dim {
-                        break 'row;
-                    }
-                    data.push(if bits & 1 == 1 { 1.0 } else { -1.0 });
-                    bits >>= 1;
-                    d += 1;
-                }
-            }
-        }
-        let basis = Tensor::from_vec(data, [features, dim]).expect("F·D basis entries");
-        BatchEncoder { features, dim, basis }
+        let signs = proj.rows.iter().flat_map(|row| row.words().iter().copied()).collect();
+        BatchEncoder { features: proj.features, dim: proj.dim, signs }
     }
 
     /// Number of input features `F`.
@@ -251,10 +244,13 @@ impl BatchEncoder {
         let dims = values.dims();
         assert_eq!(dims.len(), 2, "BatchEncoder expects an N×F value matrix");
         assert_eq!(dims[1], self.features, "feature count mismatch");
-        // FLOPs are attributed by the nested matmul span; this span only
-        // names the stage.
-        let _sp = nshd_obs::span("hd_encode");
-        matmul(values, &self.basis)
+        // Same convention as `RandomProjection::encode_raw`: dense-
+        // equivalent FLOPs, packed-bit basis traffic plus f32 rows.
+        let n = dims[0];
+        let mut sp = nshd_obs::span("hd_encode");
+        sp.add_flops(2 * (n * self.features * self.dim) as u64);
+        sp.add_bytes((self.features * self.dim / 8 + 4 * n * (self.features + self.dim)) as u64);
+        matmul_signs(values, &self.signs, self.dim)
     }
 
     /// Encodes a whole batch of feature vectors into bipolar
@@ -263,8 +259,8 @@ impl BatchEncoder {
     /// The per-sample sign-and-pack step is independent across rows, so
     /// large batches run it in parallel over the `nshd_tensor::par`
     /// worker set; each row is binarised by the same serial code either
-    /// way, so results are identical at any thread count (and the GEMM
-    /// underneath is itself bit-exact row-parallel).
+    /// way, so results are identical at any thread count (and the
+    /// sign-select kernel underneath is itself bit-exact row-parallel).
     ///
     /// # Panics
     ///

@@ -16,8 +16,8 @@ use std::sync::Arc;
 ///   are independent of every other chunk.
 /// - [`finish`](BatchEngine::finish) is the **batch-level** stage, run
 ///   once over the reassembled partials of the whole batch (in
-///   submission order) — for NSHD this is where the single encode GEMM
-///   and the single memory `matmul_bt` happen.
+///   submission order) — for NSHD this is where the single batch encode
+///   and the single memory scoring pass happen.
 ///
 /// Both stages report failures as [`PipelineError`] instead of
 /// panicking: a malformed request must fail *that request's* handle,
@@ -94,7 +94,7 @@ pub trait BatchEngine: Send + Sync + 'static {
 
 /// NSHD serving: inputs are CHW image tensors, the data-parallel stage
 /// is truncated-CNN feature extraction (+ scaling + manifold), and the
-/// batch-level stage is the GEMM encode plus associative-memory scoring.
+/// batch-level stage is the batch encode plus associative-memory scoring.
 impl BatchEngine for NshdEngine {
     type Input = Tensor;
     type Partial = Vec<f32>;

@@ -17,6 +17,9 @@
 //!   in (`simd` feature, on by default) and supported by the CPU; the
 //!   cache-blocked scalar loop is always present as the bit-exact
 //!   reference fallback;
+//! - [`matmul_signs`] — the sign-select kernel: a product with a ±1
+//!   matrix stored as packed bits, bit-identical to the GEMM against
+//!   the unpacked matrix (the HD random-projection encode);
 //! - [`par`] — std-only structured parallelism (scoped workers honoring
 //!   the `NSHD_THREADS` override, deterministic row partitioning);
 //! - [`im2col`]/[`col2im`] — the convolution ⇄ GEMM bridge and its adjoint;
@@ -49,7 +52,9 @@ mod tensor;
 
 pub use error::TensorError;
 pub use im2col::{col2im, im2col, ConvGeometry};
-pub use matmul::{matmul, matmul_at, matmul_bt, matmul_bt_into, matmul_into, matvec, vecmat};
+pub use matmul::{
+    matmul, matmul_at, matmul_bt, matmul_bt_into, matmul_into, matmul_signs, matvec, vecmat,
+};
 pub use ops::dot;
 pub use rng::Rng;
 pub use shape::{conv_out_dim, pool_out_dim, Shape};

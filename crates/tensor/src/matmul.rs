@@ -254,6 +254,66 @@ pub fn matmul_at(a: &Tensor, b: &Tensor) -> Tensor {
     c
 }
 
+/// Computes `C = A · S` where `S` is a `k×n` matrix of ±1 entries held
+/// as packed sign bits — the sign-select kernel behind batched HD
+/// random-projection encoding.
+///
+/// `a` is `m×k`. Row `p` of `S` is the `n.div_ceil(64)` words
+/// `signs[p * W..(p + 1) * W]`: bit `j % 64` of word `j / 64` set means
+/// `S[p][j] = +1`, clear means `−1`; bits past `n` are ignored. The
+/// result is `m×n`.
+///
+/// Every output element follows the GEMM contract with `b = ±1.0`: one
+/// accumulator, terms in ascending `p`, `a == 0.0` terms skipped. Each
+/// term is `a` with its sign bit flipped or kept, which equals
+/// `a * ±1.0` exactly, so the result is bit-identical to [`matmul`]
+/// against the unpacked ±1.0 matrix for every non-NaN input — without
+/// ever storing that matrix (32× the bits). The AVX2 build is the same
+/// code compiled 8-wide, chosen by [`crate::simd_enabled`] once per
+/// call. Rows run in parallel across the [`crate::par`] workers for
+/// large products, each row computed by the same serial code, so the
+/// result is identical at any thread count.
+///
+/// No profiling span is opened here: the caller names the stage and
+/// attributes its work.
+///
+/// # Panics
+///
+/// Panics if `a` is not rank-2 or `signs.len() != k * n.div_ceil(64)`.
+///
+/// # Examples
+///
+/// ```
+/// use nshd_tensor::{matmul_signs, Tensor};
+///
+/// // S = [[+1, -1], [-1, -1]]: bit 0 of row 0 set, nothing else.
+/// let a = Tensor::from_vec(vec![2.0, 3.0], [1, 2])?;
+/// let c = matmul_signs(&a, &[0b01, 0b00], 2);
+/// assert_eq!(c.as_slice(), &[2.0 - 3.0, -2.0 - 3.0]);
+/// # Ok::<(), nshd_tensor::TensorError>(())
+/// ```
+pub fn matmul_signs(a: &Tensor, signs: &[u64], n: usize) -> Tensor {
+    let (m, k) = dims2(a, "matmul_signs lhs");
+    assert_eq!(
+        signs.len(),
+        k * n.div_ceil(64),
+        "matmul_signs expects {k}×{} sign words",
+        n.div_ceil(64)
+    );
+    let mut c = Tensor::zeros([m, n]);
+    let kernel = if simd::simd_enabled() { simd::sign_select_avx2 } else { simd::sign_select_rows };
+    let av = a.as_slice();
+    if par::should_parallelize(2 * (m * k * n) as u64) {
+        par::par_row_chunks(c.as_mut_slice(), n, |row0, chunk| {
+            let rows = chunk.len() / n;
+            kernel(k, n, &av[row0 * k..(row0 + rows) * k], signs, chunk);
+        });
+    } else {
+        kernel(k, n, av, signs, c.as_mut_slice());
+    }
+    c
+}
+
 /// Matrix–vector product `y = A·x` for a row-major `m×k` matrix.
 ///
 /// # Panics

@@ -23,8 +23,19 @@
 //! architectural `ymm` registers. `B` is repacked once per call into
 //! `NR`-wide column panels ([`pack_b`]) shared read-only by all row
 //! workers; the `A` tile is repacked p-major per row block inside
-//! [`gemm_avx2`]. Row remainders use a 1×16 kernel; column remainders
-//! past the last full panel fall back to the scalar loop.
+//! [`gemm_avx2`]. Row remainders run the same 4×16 kernel on a
+//! zero-padded A panel; column remainders past the last full panel fall
+//! back to the scalar loop.
+//!
+//! # Sign-select kernel
+//!
+//! [`sign_select_rows`] multiplies by a ±1 matrix held as packed sign
+//! bits (the HD random projection), never materialising it as f32: each
+//! term `a · (±1)` is formed exactly as `a` with its sign bit flipped or
+//! kept, then added under the same single-accumulator, ascending-`p`,
+//! zero-skipping contract as the GEMM. One body serves both backends;
+//! [`sign_select_avx2`] only recompiles it with AVX2 enabled so LLVM
+//! vectorizes the per-column lanes 8-wide.
 //!
 //! # Dispatch
 //!
@@ -150,37 +161,50 @@ pub(crate) fn gemm_avx2(
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
     let mut apanel = vec![0.0f32; k * MR];
-    let full_rows = m - m % MR;
-    let mut i0 = 0;
-    while i0 < full_rows {
+    // Scratch C tile for a ragged last row block (stride `NR`).
+    let mut scratch = [0.0f32; MR * NR];
+    for i0 in (0..m).step_by(MR) {
         // Repack the A tile p-major (`apanel[p * MR + r]`) so the
-        // kernel broadcast-streams it. Pure copy, like `pack_b`.
+        // kernel broadcast-streams it. Pure copy, like `pack_b`. A
+        // ragged last block keeps its missing rows at zero: the kernel's
+        // `a == 0.0` skip adds no terms for them.
+        let rows = MR.min(m - i0);
+        if rows < MR {
+            apanel.fill(0.0);
+        }
         for p in 0..k {
-            for r in 0..MR {
+            for r in 0..rows {
                 apanel[p * MR + r] = a[(i0 + r) * k + p];
             }
         }
         for pj in 0..packed.np {
             let bpanel = &packed.panels[pj * k * NR..(pj + 1) * k * NR];
-            let ctile = &mut c[i0 * n + pj * NR..];
+            let col0 = i0 * n + pj * NR;
+            // A full block accumulates in place; a ragged one in the
+            // scratch tile, holding copies of its live rows — copies
+            // only, so those rows see a full tile's float sequence.
+            let (stride, ctile) = if rows == MR {
+                (n, &mut c[col0..])
+            } else {
+                for r in 0..rows {
+                    scratch[r * NR..(r + 1) * NR]
+                        .copy_from_slice(&c[col0 + r * n..col0 + r * n + NR]);
+                }
+                (NR, &mut scratch[..])
+            };
             // SAFETY: dispatch (`simd_enabled`) verified AVX2 at runtime
             // before selecting this path; `ctile` spans at least
-            // `(MR - 1) * n + NR` elements because `i0 + MR <= m` and
-            // `(pj + 1) * NR <= n`, and `apanel`/`bpanel` hold `k` full
-            // tiles — the kernel's documented preconditions.
-            unsafe { kernel_4x16(k, n, &apanel, bpanel, ctile) }
-        }
-        i0 += MR;
-    }
-    for i in full_rows..m {
-        let arow = &a[i * k..(i + 1) * k];
-        for pj in 0..packed.np {
-            let bpanel = &packed.panels[pj * k * NR..(pj + 1) * k * NR];
-            let ctile = &mut c[i * n + pj * NR..];
-            // SAFETY: same dispatch guarantee as above; `ctile` spans at
-            // least `NR` elements because `(pj + 1) * NR <= n`, and
-            // `arow`/`bpanel` hold `k` elements / `k` full panel rows.
-            unsafe { kernel_1x16(k, arow, bpanel, ctile) }
+            // `(MR - 1) * stride + NR` elements — in place because
+            // `i0 + MR <= m` and `(pj + 1) * NR <= n`, in scratch because
+            // it holds `MR` rows of `NR` — and `apanel`/`bpanel` hold `k`
+            // full tiles: the kernel's documented preconditions.
+            unsafe { kernel_4x16(k, stride, &apanel, bpanel, ctile) }
+            if rows < MR {
+                for r in 0..rows {
+                    c[col0 + r * n..col0 + r * n + NR]
+                        .copy_from_slice(&scratch[r * NR..(r + 1) * NR]);
+                }
+            }
         }
     }
     // Scalar column tail for the `n % NR` columns past the last panel:
@@ -218,14 +242,118 @@ pub(crate) fn gemm_avx2(
     unreachable!("micro-kernels compiled out");
 }
 
-/// Dispatched `c += aip * b` for `matmul_at` rank-1 row updates.
+/// Columns per sign-select register tile: one packed `u64` sign word.
+const SIGN_TILE: usize = 64;
+
+/// One byte of packed signs expanded to eight f32 sign-flip masks:
+/// lane `l` of entry `b` is `0` when bit `l` of `b` is set (+1) and the
+/// f32 sign bit when it is clear (−1). XOR-ing a value's bits with the
+/// mask is exactly `±1.0 · a`, with no multiply.
+#[repr(C, align(32))]
+struct SignFlips([[u32; 8]; 256]);
+
+static SIGN_FLIPS: SignFlips = {
+    let mut table = [[0u32; 8]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut lane = 0;
+        while lane < 8 {
+            if byte >> lane & 1 == 0 {
+                table[byte][lane] = 0x8000_0000;
+            }
+            lane += 1;
+        }
+        byte += 1;
+    }
+    SignFlips(table)
+};
+
+/// Sign-select product over a block of rows: `c = a · S`, with `a` a
+/// row-major `m`×`k` block, `S` the `k`×`n` ±1 matrix whose row `p` is
+/// the `n.div_ceil(64)` words `signs[p * W..(p + 1) * W]` (bit `j % 64`
+/// of word `j / 64` set ⇔ `S[p][j] = +1`; padding bits ignored), and
+/// `c` the `m`×`n` destination, overwritten.
+///
+/// Per output element this is the GEMM contract with `b = ±1.0`: one
+/// accumulator starting at `0.0`, terms added in ascending `p`, and
+/// `a == 0.0` terms skipped — the skip done once per row by compacting
+/// its nonzero entries, so the tile loop has no data-dependent branch.
+/// Each term is `a` with its sign bit XOR-ed by [`SIGN_FLIPS`], which
+/// equals `a * ±1.0` to the bit for every non-NaN `a`.
+#[inline(always)]
+pub(crate) fn sign_select_rows(k: usize, n: usize, a: &[f32], signs: &[u64], c: &mut [f32]) {
+    let words = n.div_ceil(SIGN_TILE);
+    debug_assert_eq!(signs.len(), k * words);
+    if k == 0 || n == 0 {
+        c.fill(0.0);
+        return;
+    }
+    // (word offset of row p, bits of a[p]) for every nonzero a[p].
+    let mut terms: Vec<(usize, u32)> = Vec::with_capacity(k);
+    for (arow, crow) in a.chunks_exact(k).zip(c.chunks_exact_mut(n)) {
+        terms.clear();
+        terms.extend(
+            arow.iter()
+                .enumerate()
+                .filter(|&(_, &v)| v != 0.0)
+                .map(|(p, v)| (p * words, v.to_bits())),
+        );
+        for (w, cols) in crow.chunks_mut(SIGN_TILE).enumerate() {
+            let mut acc = [0.0f32; SIGN_TILE];
+            for &(row, bits) in &terms {
+                let word = signs[row + w];
+                // Gather the word's 64 masks first so the add below is
+                // one flat 64-lane loop, which LLVM vectorizes across
+                // columns; fused per byte, it vectorizes across bytes
+                // instead and gathers lane by lane.
+                let mut flips = [0u32; SIGN_TILE];
+                for (dst, byte) in flips.chunks_exact_mut(8).zip(word.to_le_bytes()) {
+                    dst.copy_from_slice(&SIGN_FLIPS.0[usize::from(byte)]);
+                }
+                for (x, &flip) in acc.iter_mut().zip(&flips) {
+                    *x += f32::from_bits(bits ^ flip);
+                }
+            }
+            cols.copy_from_slice(&acc[..cols.len()]);
+        }
+    }
+}
+
+/// [`sign_select_rows`] compiled for AVX2, selected after
+/// [`simd_enabled`]. Same body, so the same per-element float sequence.
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+pub(crate) fn sign_select_avx2(k: usize, n: usize, a: &[f32], signs: &[u64], c: &mut [f32]) {
+    #[target_feature(enable = "avx2")]
+    fn kernel(k: usize, n: usize, a: &[f32], signs: &[u64], c: &mut [f32]) {
+        sign_select_rows(k, n, a, signs, c);
+    }
+    // SAFETY: callers select this path only after `simd_enabled`
+    // verified AVX2 at runtime; `kernel` is otherwise safe code.
+    unsafe { kernel(k, n, a, signs, c) }
+}
+
+/// Scalar-build stub; never reached because [`simd_enabled`] is `false`
+/// when the micro-kernels are compiled out.
+#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+pub(crate) fn sign_select_avx2(_k: usize, _n: usize, _a: &[f32], _signs: &[u64], _c: &mut [f32]) {
+    unreachable!("micro-kernels compiled out");
+}
+
+/// Dispatched `c += aip * b` for `matmul_at` rank-1 row updates: the
+/// plain per-column loop compiled for AVX2, which LLVM vectorizes
+/// 8-wide without touching each element's multiply-then-add sequence.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 pub(crate) fn axpy(aip: f32, b: &[f32], c: &mut [f32]) {
+    #[target_feature(enable = "avx2")]
+    fn kernel(aip: f32, b: &[f32], c: &mut [f32]) {
+        for (c_el, &b_el) in c.iter_mut().zip(b) {
+            *c_el += aip * b_el;
+        }
+    }
     debug_assert_eq!(b.len(), c.len());
     // SAFETY: callers select this path only after `simd_enabled`
-    // verified AVX2 at runtime; the slices have equal length, which is
-    // all the kernel requires.
-    unsafe { axpy_kernel(aip, b, c) }
+    // verified AVX2 at runtime; `kernel` is otherwise safe code.
+    unsafe { kernel(aip, b, c) }
 }
 
 /// Scalar-build stub; never reached because [`simd_enabled`] is `false`
@@ -304,75 +432,6 @@ unsafe fn kernel_4x16(k: usize, n: usize, apanel: &[f32], bpanel: &[f32], ctile:
     _mm256_storeu_ps(cp.add(2 * n + 8), acc2b);
     _mm256_storeu_ps(cp.add(3 * n), acc3a);
     _mm256_storeu_ps(cp.add(3 * n + 8), acc3b);
-}
-
-/// 1×16 row-remainder micro-tile: same per-element float sequence as
-/// [`kernel_4x16`] for a single row (`arow` is the raw `k`-element A
-/// row, no repacking needed).
-///
-/// # Safety
-///
-/// Caller must have verified AVX2 support and pass `arow` of at least
-/// `k` elements, `bpanel` of at least `k * NR` elements, and `ctile`
-/// spanning at least `NR` elements.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-// SAFETY: declaration carries the caller contract spelled out above —
-// AVX2 verified by the dispatcher plus the slice-extent preconditions.
-unsafe fn kernel_1x16(k: usize, arow: &[f32], bpanel: &[f32], ctile: &mut [f32]) {
-    use std::arch::x86_64::{
-        _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_storeu_ps,
-    };
-    let ap = arow.as_ptr();
-    let bp = bpanel.as_ptr();
-    let cp = ctile.as_mut_ptr();
-    let mut acc_a = _mm256_loadu_ps(cp);
-    let mut acc_b = _mm256_loadu_ps(cp.add(8));
-    for p in 0..k {
-        let aip = *ap.add(p);
-        if aip == 0.0 {
-            continue;
-        }
-        let av = _mm256_set1_ps(aip);
-        let b0 = _mm256_loadu_ps(bp.add(p * NR));
-        let b1 = _mm256_loadu_ps(bp.add(p * NR + 8));
-        acc_a = _mm256_add_ps(acc_a, _mm256_mul_ps(av, b0));
-        acc_b = _mm256_add_ps(acc_b, _mm256_mul_ps(av, b1));
-    }
-    _mm256_storeu_ps(cp, acc_a);
-    _mm256_storeu_ps(cp.add(8), acc_b);
-}
-
-/// 8-lane `c[j] += aip * b[j]` with a scalar tail: vectorizes the
-/// independent per-column updates of `matmul_at`'s rank-1 step, leaving
-/// each element's multiply-then-add sequence untouched.
-///
-/// # Safety
-///
-/// Caller must have verified AVX2 support and pass slices of equal
-/// length.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-// SAFETY: declaration carries the caller contract spelled out above —
-// AVX2 verified by the dispatcher plus equal slice lengths.
-unsafe fn axpy_kernel(aip: f32, b: &[f32], c: &mut [f32]) {
-    use std::arch::x86_64::{
-        _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_storeu_ps,
-    };
-    let len = c.len();
-    let lanes = len - len % 8;
-    let av = _mm256_set1_ps(aip);
-    let bp = b.as_ptr();
-    let cp = c.as_mut_ptr();
-    let mut j = 0;
-    while j < lanes {
-        let prod = _mm256_mul_ps(av, _mm256_loadu_ps(bp.add(j)));
-        _mm256_storeu_ps(cp.add(j), _mm256_add_ps(_mm256_loadu_ps(cp.add(j)), prod));
-        j += 8;
-    }
-    for jj in lanes..len {
-        c[jj] += aip * b[jj];
-    }
 }
 
 #[cfg(test)]
